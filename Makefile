@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-json bench-check experiments examples chaos-smoke serve-smoke shard-smoke obs-smoke reliability-smoke vector-smoke workflow-smoke lint analyze concurrency concurrency-smoke prove-smoke clean
+.PHONY: install test bench bench-json bench-check experiments examples chaos-smoke serve-smoke route-order-smoke shard-smoke obs-smoke reliability-smoke vector-smoke workflow-smoke lint analyze concurrency concurrency-smoke prove-smoke clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -59,6 +59,48 @@ serve-smoke:
 	grep -q "drain: orphaned compiles 0" /tmp/serve-smoke-1.txt
 	grep -q "^smoke OK" /tmp/serve-smoke-1.txt
 	@echo "serve smoke OK: deterministic, cached, epoch-safe, drained"
+
+# Route-order smoke (CI job: test, blocking): a route must not depend
+# on which queries came before it.  Two fresh servers compile one
+# seeded config; one seeded pair set is queried in forward order on the
+# first and in reverse order on the second, and the sorted replies must
+# be identical.  (Replaying one order twice cannot catch this.)
+ROUTE_ORDER_CONFIG = --mesh 10x10x10 --faults 30 --seed 7 --rounds 2
+ROUTE_ORDER_PORTS = 7461 7462
+route-order-smoke:
+	$(PYTHON) -c "import numpy as np; r = np.random.default_rng(3); \
+	    [print(','.join(map(str, s)), ','.join(map(str, d))) \
+	     for s, d in r.integers(0, 10, size=(400, 2, 3)) if (s != d).any()]" \
+	    > /tmp/route-order-pairs.txt
+	tac /tmp/route-order-pairs.txt > /tmp/route-order-pairs-rev.txt
+	trap 'kill $$(jobs -p) 2>/dev/null' EXIT; \
+	for port in $(ROUTE_ORDER_PORTS); do \
+	    PYTHONPATH=src PYTHONUNBUFFERED=1 $(PYTHON) -m repro serve \
+	        $(ROUTE_ORDER_CONFIG) --port $$port \
+	        > /tmp/route-order-serve-$$port.txt 2>&1 & \
+	done; \
+	for port in $(ROUTE_ORDER_PORTS); do \
+	    n=0; until grep -q '^serving' /tmp/route-order-serve-$$port.txt; do \
+	        n=$$((n + 1)); test $$n -lt 600 || exit 1; sleep 0.1; done; \
+	done; \
+	status=0; \
+	PYTHONPATH=src $(PYTHON) -m repro query --port 7461 \
+	    --pairs /tmp/route-order-pairs.txt > /tmp/route-order-1.txt \
+	    || status=1; \
+	PYTHONPATH=src $(PYTHON) -m repro query --port 7462 \
+	    --pairs /tmp/route-order-pairs-rev.txt > /tmp/route-order-2.txt \
+	    || status=1; \
+	for port in $(ROUTE_ORDER_PORTS); do \
+	    PYTHONPATH=src $(PYTHON) -m repro query --port $$port --shutdown \
+	        > /dev/null || status=1; \
+	done; \
+	test $$status -eq 0 && wait
+	sort /tmp/route-order-1.txt > /tmp/route-order-1.sorted
+	sort /tmp/route-order-2.txt > /tmp/route-order-2.sorted
+	diff /tmp/route-order-1.sorted /tmp/route-order-2.sorted
+	test $$(grep -c '"ok": true' /tmp/route-order-1.sorted) -ge 300
+	grep -q '"rounds_used": 2' /tmp/route-order-1.sorted
+	@echo "route-order smoke OK: forward and reverse query orders agree"
 
 # Sharded-plane smoke (CI job: test, blocking): 1 router + 3 replica
 # workers over a shared store.  Two mixed query/delta loadgen

@@ -47,6 +47,7 @@ Examples
     python -m repro serve --mesh 16x16 --faults 5 --seed 4 --port 7420
     python -m repro serve --smoke
     python -m repro query --port 7420 --source 0,0 --dest 9,9
+    python -m repro query --port 7420 --pairs pairs.txt
     python -m repro workflow run chaos-campaign --store /tmp/ckpt --json
     python -m repro workflow resume chaos-campaign --store /tmp/ckpt
     python -m repro store gc --root /tmp/ckpt --max-bytes 1000000
@@ -790,11 +791,28 @@ def cmd_query(args) -> int:
     from .service.client import RouteQueryClient
     from .service.errors import ServiceError
 
+    pairs = None
+    if args.pairs is not None:
+        # Read before the event loop starts (no blocking I/O inside it).
+        with open(args.pairs) as fh:
+            pairs = [
+                tuple(_parse_node(part) for part in line.split())
+                for line in fh if line.strip()
+            ]
+
     async def _run() -> int:
         client = await RouteQueryClient.connect(
             args.host, args.port, default_timeout=args.timeout
         )
         try:
+            if pairs is not None:
+                # One raw reply (errors included) per line, without the
+                # per-connection request id, so runs can be diffed.
+                for pair in pairs:
+                    (reply,) = await client.query_batch([pair], epoch=args.epoch)
+                    reply.pop("id", None)
+                    print(_json.dumps(reply, sort_keys=True))
+                return 0
             if args.stats:
                 reply = await client.stats()
                 print(_json.dumps(reply["stats"], indent=2, sort_keys=True))
@@ -1330,6 +1348,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pin the reconfiguration epoch (typed stale-epoch "
                    "error on mismatch)")
     p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--pairs", type=str, default=None,
+                   help="query every pair of this file in order (one "
+                   "'SOURCE DEST' pair per line, e.g. '0,0 9,9') and "
+                   "print each reply as a JSON line")
     p.add_argument("--stats", action="store_true",
                    help="print the stats RPC snapshot instead of querying")
     p.add_argument("--shutdown", action="store_true",

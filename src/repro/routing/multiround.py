@@ -14,7 +14,8 @@ wormhole simulator uses to materialize routes.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+import hashlib
+from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +31,9 @@ __all__ = [
     "reach_set_k_rounds",
     "multi_source_reach_sets",
     "k_round_reachable",
+    "OneRoundSets",
+    "FloodSets",
+    "keyed_pick",
     "find_k_round_route",
 ]
 
@@ -274,6 +278,75 @@ def k_round_reachable(
     return bool(reach_set_k_rounds(grids, orderings, v)[tuple(w)])
 
 
+class OneRoundSets(Protocol):
+    """The one-round reach sets :func:`find_k_round_route` reads.
+
+    The default, :class:`FloodSets`, floods the grids for every query.
+    A caller that answers many queries on one configuration can serve
+    the same sets from a memo instead: every node of one
+    source-equivalent set (SES) has the same forward set, and every
+    node of one destination-equivalent set (DES) the same backward
+    sets (Lemma 4.1), so one grid per class serves all its members.
+    Returned grids are read, never written.
+    """
+
+    def forward(self, t: int, node: Node) -> np.ndarray:
+        """Nodes one round ``t`` (0-indexed) reachable from ``node``."""
+        ...
+
+    def backward(self, dest: Node) -> Sequence[np.ndarray]:
+        """The ``k - 1`` backward sets of ``dest``: entry ``t`` holds
+        the nodes that can reach ``dest`` in rounds ``t + 1 .. k - 1``
+        (0-indexed), i.e. where round ``t`` may end."""
+        ...
+
+
+class FloodSets:
+    """:class:`OneRoundSets` computed by flooding the grids per call:
+    one flood forward, ``k - 1`` reverse floods backward."""
+
+    __slots__ = ("grids", "orderings")
+
+    def __init__(self, grids: FaultGrids, orderings: KRoundOrdering) -> None:
+        self.grids = grids
+        self.orderings = orderings
+
+    def _point(self, node: Sequence[int]) -> np.ndarray:
+        grid = np.zeros(self.grids.mesh.widths, dtype=bool)
+        grid[tuple(node)] = True
+        return grid
+
+    def forward(self, t: int, node: Node) -> np.ndarray:
+        return reach_set_one_round(self.grids, self.orderings[t], self._point(node))
+
+    def backward(self, dest: Node) -> List[np.ndarray]:
+        rounds = self.orderings
+        if rounds.k == 1:
+            return []
+        stack = [
+            reverse_reach_set_one_round(
+                self.grids, rounds[rounds.k - 1], self._point(dest)
+            )
+        ]
+        for t in range(rounds.k - 2, 0, -1):
+            stack.append(reverse_reach_set_one_round(self.grids, rounds[t], stack[-1]))
+        stack.reverse()
+        return stack
+
+
+POLICIES = ("shortest", "first", "random")
+
+
+def keyed_pick(source: Node, dest: Node, t: int, n: int) -> int:
+    """A pseudo-random index in ``[0, n)`` that is a pure function of
+    the query ``(source, dest)`` and the round ``t``: the tie-break of
+    route resolution when no generator is supplied, so a route never
+    depends on which queries came before it."""
+    key = repr((source, dest, t)).encode("ascii")
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    return int.from_bytes(digest, "little") % n
+
+
 def find_k_round_route(
     grids: FaultGrids,
     orderings: KRoundOrdering,
@@ -281,6 +354,7 @@ def find_k_round_route(
     w: Sequence[int],
     policy: str = "shortest",
     rng: Optional[np.random.Generator] = None,
+    sets: Optional[OneRoundSets] = None,
 ) -> Optional[List[List[Node]]]:
     """Materialize a concrete k-round route from ``v`` to ``w``.
 
@@ -292,74 +366,75 @@ def find_k_round_route(
     discussed after Definition 2.3):
 
     - ``"shortest"``: minimize the total route length (sum of per-round
-      L1 hops), breaking ties uniformly at random (needs ``rng``) —
-      the paper's suggested heuristic;
-    - ``"first"``: lexicographically smallest intermediates
-      (deterministic);
+      L1 hops) — the paper's suggested heuristic;
+    - ``"first"``: lexicographically smallest intermediates;
     - ``"random"``: uniform choice among feasible intermediates.
+
+    Ties (``"shortest"``) and random picks draw from ``rng`` when one
+    is given; otherwise they use :func:`keyed_pick`, so the route is a
+    pure function of ``(grids, orderings, v, w, policy)``.
+
+    ``sets`` supplies the one-round reach sets; by default they are
+    flooded per call (``2k - 2`` floods, one at ``k = 1``).  The
+    candidate sets, and so the ``rng`` draws, do not depend on where
+    the sets come from.
     """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
     mesh = grids.mesh
-    v = tuple(int(x) for x in v)
-    w = tuple(int(x) for x in w)
+    src: Node = tuple(int(x) for x in v)
+    dst: Node = tuple(int(x) for x in w)
     k = orderings.k
-    # Forward sets F_t = nodes reachable from v in t rounds.
-    start = np.zeros(mesh.widths, dtype=bool)
-    if not grids.good[v] or not grids.good[w]:
+    if not grids.good[src] or not grids.good[dst]:
         return None
-    start[v] = True
-    fwd: List[np.ndarray] = [start]
-    for t in range(1, k + 1):
-        fwd.append(reach_set_one_round(grids, orderings[t - 1], fwd[t - 1]))
-    if not fwd[k][w]:
-        return None
-    # Backward sets B_t = nodes that can reach w in the remaining rounds.
-    target = np.zeros(mesh.widths, dtype=bool)
-    target[w] = True
-    bwd: List[np.ndarray] = [target]
-    for t in range(k - 1, -1, -1):
-        bwd.append(reverse_reach_set_one_round(grids, orderings[t], bwd[-1]))
-    bwd.reverse()
+    if sets is None:
+        sets = FloodSets(grids, orderings)
+    widths = mesh.widths
 
-    if rng is None:
-        rng = np.random.default_rng(0)
+    def pick(t: int, n: int) -> int:
+        if rng is not None:
+            return int(rng.integers(n))
+        return keyed_pick(src, dst, t, n)
 
-    def choose(candidates: np.ndarray, prev: Node, goal: Node) -> Node:
-        coords = np.argwhere(candidates)
-        if policy == "first":
-            order = np.lexsort(coords.T[::-1])
-            return tuple(int(x) for x in coords[order[0]])
-        if policy == "random":
-            return tuple(int(x) for x in coords[rng.integers(len(coords))])
-        if policy == "shortest":
+    def choose(t: int, candidates: np.ndarray, prev: Node) -> Node:
+        if policy == "shortest" and candidates[dst]:
             # The goal itself, when feasible, is always a minimum-cost
             # intermediate (triangle equality) and collapses the
             # remaining rounds to no-ops — prefer it outright.
-            if candidates[goal]:
-                return goal
-            prev_arr = np.asarray(prev)
-            goal_arr = np.asarray(goal)
-            cost = np.abs(coords - prev_arr).sum(axis=1) + np.abs(
-                coords - goal_arr
-            ).sum(axis=1)
-            best = np.flatnonzero(cost == cost.min())
-            pick = best[rng.integers(len(best))]
-            return tuple(int(x) for x in coords[pick])
-        raise ValueError(f"unknown policy {policy!r}")
+            return dst
+        # Flat indices in C order, i.e. lexicographic node order.
+        flat = np.flatnonzero(candidates)
+        if policy == "first":
+            idx = flat[0]
+        elif policy == "random":
+            idx = flat[pick(t, len(flat))]
+        else:
+            cost = np.zeros(len(flat), dtype=np.int64)
+            for j, c in enumerate(np.unravel_index(flat, widths)):
+                cost += np.abs(c - prev[j]) + np.abs(c - dst[j])
+            best = flat[cost == cost.min()]
+            idx = best[pick(t, len(best))]
+        return tuple(int(x) for x in np.unravel_index(idx, widths))
 
+    if k == 1:
+        if not sets.forward(0, src)[dst]:
+            return None
+        return [dor_path(mesh, orderings[0], src, dst)]
+    back = sets.backward(dst)
     paths: List[List[Node]] = []
-    cur = v
+    cur = src
     for t in range(k):
         if t == k - 1:
-            nxt = w
+            nxt = dst
         else:
-            # Feasible intermediates after round t+1: one round from cur,
-            # and able to finish within the remaining rounds.
-            here = np.zeros(mesh.widths, dtype=bool)
-            here[cur] = True
-            feasible = reach_set_one_round(grids, orderings[t], here) & bwd[t + 1]
-            if not feasible.any():  # pragma: no cover - fwd/bwd guarantee nonempty
+            # Feasible ends of round t: one round from cur, and able to
+            # finish within the remaining rounds.  Nonempty at t = 0
+            # iff dst is k-round reachable; nonempty after that because
+            # every chosen node can finish.
+            feasible = sets.forward(t, cur) & back[t]
+            if not feasible.any():
                 return None
-            nxt = choose(feasible, cur, w)
+            nxt = choose(t, feasible, cur)
         paths.append(dor_path(mesh, orderings[t], cur, nxt))
         cur = nxt
     return paths

@@ -337,9 +337,10 @@ class ReconfigurationCompiler:
 
     # ------------------------------------------------------------------
     def persist_current(self) -> None:
-        """Re-publish the current artifact with its warmed route
-        entries (called on graceful drain so the next process starts
-        with a hot table)."""
+        """Re-publish the current artifact with the routes its memo
+        holds (called on graceful drain so the next process starts
+        with a hot table).  Routes are pure, so the record only saves
+        recomputation; the class grids are not persisted."""
         current = self._current
         if current is None:
             return
@@ -413,7 +414,10 @@ class ReconfigurationCompiler:
         # back to a rebuild for correctness.
         if grids is not None and result.faults != faults:
             grids = None
-        table = RoutingTable(result, policy=self.policy, grids=grids)
+        table = RoutingTable(
+            result, policy=self.policy, grids=grids,
+            counters=self.metrics.route_cache,
+        )
         wall = time.perf_counter() - t0
         self.metrics.compiles.inc()
         self.metrics.compile_latency.observe(wall)
@@ -470,6 +474,7 @@ class ReconfigurationCompiler:
             table = routing_table_from_dict(record)
         except (KeyError, TypeError, ValueError):
             return None
+        table.counters = self.metrics.route_cache
         meta = record.get("service") or {}
         return CompiledArtifact(
             digest=digest,

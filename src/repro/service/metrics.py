@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from ..core.routing_table import RouteCacheCounters
 from ..obs.metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram
 from ..obs.registry import TelemetryRegistry
 
@@ -74,6 +75,15 @@ class ServiceMetrics:
         self.wire_protocol_errors = reg.counter(
             "service_wire_protocol_errors_total"
         )
+        #: Route resolution's own caches, shared by every table the
+        #: compiler publishes: the per-pair route memo and the
+        #: per-class one-round grids.
+        self.route_cache = RouteCacheCounters(
+            hits=reg.counter("service_route_memo_total", result="hit"),
+            misses=reg.counter("service_route_memo_total", result="miss"),
+            evictions=reg.counter("service_route_memo_evictions_total"),
+            grids_built=reg.counter("service_route_class_grids_total"),
+        )
         self.compile_latency = reg.histogram("service_compile_seconds")
         self.query_latency = reg.histogram("service_query_seconds")
         self.epoch = reg.gauge("service_epoch", value=-1.0)
@@ -81,6 +91,11 @@ class ServiceMetrics:
     def hit_rate(self) -> float:
         total = self.cache_hits.value + self.cache_misses.value
         return self.cache_hits.value / total if total else 0.0
+
+    def route_memo_hit_rate(self) -> float:
+        rc = self.route_cache
+        total = rc.hits.value + rc.misses.value
+        return rc.hits.value / total if total else 0.0
 
     def snapshot(self) -> Dict[str, Any]:
         """Deterministic JSON-able readout (the ``stats`` RPC body)."""
@@ -108,4 +123,11 @@ class ServiceMetrics:
             },
             "epoch": int(self.epoch.value),
             "query_latency": self.query_latency.snapshot(),
+            "route_cache": {
+                "class_grids_built": self.route_cache.grids_built.value,
+                "memo_evictions": self.route_cache.evictions.value,
+                "memo_hit_rate": round(self.route_memo_hit_rate(), 4),
+                "memo_hits": self.route_cache.hits.value,
+                "memo_misses": self.route_cache.misses.value,
+            },
         }

@@ -47,7 +47,9 @@ __all__ = [
     "STORE_FORMAT_VERSION",
 ]
 
-STORE_FORMAT_VERSION = 1
+#: Version 2: routes break ties with a keyed pick (a pure function of
+#: the pair); version-1 records carry order-dependent routes.
+STORE_FORMAT_VERSION = 2
 
 #: blake2b digest size in bytes (40 hex chars — comfortably
 #: collision-free for a cache while keeping artifact paths short).
